@@ -142,7 +142,7 @@ GatedMeasurement measure_best(const TrialPolicy& policy,
       policy,
       [&] {
         ConfigResult result = probe();
-        const util::SampleRecorder& cycles =
+        const util::LogHistogram& cycles =
             result.stats.platform_cycles_subsequent;
         p50s.push_back(cycles.count() > 0 ? cycles.percentile(50) : 0.0);
         p99s.push_back(cycles.count() > 0 ? cycles.percentile(99) : 0.0);

@@ -100,7 +100,10 @@ std::vector<double> curve_points(double lo, double hi, int points,
   return result;
 }
 
-LatencySummary summarize(const util::SampleRecorder& samples) {
+namespace {
+
+template <class Distribution>
+LatencySummary summarize_distribution(const Distribution& samples) {
   LatencySummary summary;
   summary.count = samples.count();
   if (summary.count == 0) return summary;
@@ -109,6 +112,16 @@ LatencySummary summarize(const util::SampleRecorder& samples) {
   summary.p999 = samples.percentile(99.9);
   summary.mean = samples.mean();
   return summary;
+}
+
+}  // namespace
+
+LatencySummary summarize(const util::SampleRecorder& samples) {
+  return summarize_distribution(samples);
+}
+
+LatencySummary summarize(const util::LogHistogram& histogram) {
+  return summarize_distribution(histogram);
 }
 
 telemetry::Json latency_json(const LatencySummary& summary) {

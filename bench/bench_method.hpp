@@ -18,6 +18,7 @@
 #include "telemetry/json.hpp"
 
 namespace speedybox::util {
+class LogHistogram;
 class SampleRecorder;
 }
 
@@ -129,9 +130,10 @@ struct LatencySummary {
   std::uint64_t count = 0;
 };
 
-/// Exact-percentile summary of a sample recorder (empty recorder → all
-/// zeros, count 0).
+/// Percentile summary of a sample recorder (exact) or a streaming
+/// histogram (within its bucket error); empty → all zeros, count 0.
 LatencySummary summarize(const util::SampleRecorder& samples);
+LatencySummary summarize(const util::LogHistogram& histogram);
 
 /// {"p50": .., "p99": .., "p999": .., "mean": .., "count": ..}
 telemetry::Json latency_json(const LatencySummary& summary);

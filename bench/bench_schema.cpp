@@ -142,6 +142,11 @@ bool row_gated(const Json& row) {
   return gated == nullptr || !gated->is_bool() || gated->as_bool();
 }
 
+bool declares_unstable_tail(const Json& row) {
+  const Json* unstable = row.find("rel_p99_unstable");
+  return unstable != nullptr && unstable->is_bool() && unstable->as_bool();
+}
+
 /// The (rate_key, p99_key) pair a row is gated on: prefer the
 /// machine-portable relative metrics, fall back to absolutes.
 const char* rate_key_for(const Json& row) {
@@ -155,10 +160,7 @@ const char* p99_key_for(const Json& row) {
   // A row that measured its own tail as too noisy to gate opts out of the
   // absolute-latency fallback as well — otherwise dropping rel_p99 would
   // silently re-gate it on an even flakier metric.
-  const Json* unstable = row.find("rel_p99_unstable");
-  if (unstable != nullptr && unstable->is_bool() && unstable->as_bool()) {
-    return nullptr;
-  }
+  if (declares_unstable_tail(row)) return nullptr;
   if (row.find("latency_us_p99") != nullptr) return "latency_us_p99";
   return nullptr;
 }
@@ -166,6 +168,51 @@ const char* p99_key_for(const Json& row) {
 double number_field(const Json& row, const char* key) {
   const Json* value = row.find(key);
   return value != nullptr && value->is_number() ? value->as_number() : 0.0;
+}
+
+bool has_number(const Json& row, const char* key) {
+  const Json* value = row.find(key);
+  return value != nullptr && value->is_number();
+}
+
+enum class Better { kHigher, kLower };
+
+/// One gated metric of one matched row pair. Fails closed: a candidate
+/// that lacks the key the baseline gates on fails, unless it is the tail
+/// metric and the candidate row declares its own tail unstable — then the
+/// metric is reported as ungated rather than read as zero.
+GateFinding check_metric(const std::string& identity, const Json& base_row,
+                         const Json& cand_row, const char* key,
+                         Better better, double tolerance) {
+  GateFinding finding;
+  finding.row = identity;
+  finding.metric = key;
+  finding.baseline = number_field(base_row, key);
+  finding.tolerance = tolerance;
+  char buf[200];
+  if (!has_number(cand_row, key)) {
+    finding.ok = better == Better::kLower && declares_unstable_tail(cand_row);
+    std::snprintf(buf, sizeof buf,
+                  finding.ok
+                      ? "UNGATED (unstable): %s %.4g -> candidate declares "
+                        "rel_p99_unstable"
+                      : "MISSING: %s %.4g -> candidate row lacks the key",
+                  key, finding.baseline);
+    finding.message = buf;
+    return finding;
+  }
+  const double base = finding.baseline;
+  const double cand = number_field(cand_row, key);
+  finding.candidate = cand;
+  const bool higher = better == Better::kHigher;
+  finding.ok = base <= 0.0 || (higher ? cand >= base * (1.0 - tolerance)
+                                      : cand <= base * (1.0 + tolerance));
+  std::snprintf(buf, sizeof buf, "%s: %s %.4g -> %.4g (limit %s%.0f%%)",
+                finding.ok ? "ok"
+                           : (higher ? "RATE REGRESSION" : "P99 REGRESSION"),
+                key, base, cand, higher ? "-" : "+", tolerance * 100.0);
+  finding.message = buf;
+  return finding;
 }
 
 }  // namespace
@@ -246,48 +293,21 @@ GateReport gate_compare(const Json& baseline, const Json& candidate,
     const Json& cand_row = *it->second;
     ++report.rows_compared;
 
+    const auto gate = [&](const char* key, Better better,
+                          const char* tolerance_key, double fallback) {
+      GateFinding finding =
+          check_metric(identity, base_row, cand_row, key, better,
+                       tolerance_for(base_row, tolerance_key, fallback));
+      if (!finding.ok) ++report.failures;
+      report.findings.push_back(std::move(finding));
+    };
     if (const char* rate_key = rate_key_for(base_row)) {
-      const double base = number_field(base_row, rate_key);
-      const double cand = number_field(cand_row, rate_key);
-      const double tolerance = tolerance_for(
-          base_row, "tolerance_rel_rate", config.rate_loss_tolerance);
-      GateFinding finding;
-      finding.row = identity;
-      finding.metric = rate_key;
-      finding.baseline = base;
-      finding.candidate = cand;
-      finding.tolerance = tolerance;
-      finding.ok = base <= 0.0 || cand >= base * (1.0 - tolerance);
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "%s: %s %.4g -> %.4g (limit -%.0f%%)",
-                    finding.ok ? "ok" : "RATE REGRESSION", rate_key, base,
-                    cand, tolerance * 100.0);
-      finding.message = buf;
-      if (!finding.ok) ++report.failures;
-      report.findings.push_back(std::move(finding));
+      gate(rate_key, Better::kHigher, "tolerance_rel_rate",
+           config.rate_loss_tolerance);
     }
-
     if (const char* p99_key = p99_key_for(base_row)) {
-      const double base = number_field(base_row, p99_key);
-      const double cand = number_field(cand_row, p99_key);
-      const double tolerance = tolerance_for(
-          base_row, "tolerance_rel_p99", config.p99_growth_tolerance);
-      GateFinding finding;
-      finding.row = identity;
-      finding.metric = p99_key;
-      finding.baseline = base;
-      finding.candidate = cand;
-      finding.tolerance = tolerance;
-      finding.ok = base <= 0.0 || cand <= base * (1.0 + tolerance);
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "%s: %s %.4g -> %.4g (limit +%.0f%%)",
-                    finding.ok ? "ok" : "P99 REGRESSION", p99_key, base,
-                    cand, tolerance * 100.0);
-      finding.message = buf;
-      if (!finding.ok) ++report.failures;
-      report.findings.push_back(std::move(finding));
+      gate(p99_key, Better::kLower, "tolerance_rel_p99",
+           config.p99_growth_tolerance);
     }
   }
   return report;

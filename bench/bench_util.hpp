@@ -140,7 +140,7 @@ inline telemetry::Json config_row(const std::string& label,
   Json row = Json::object();
   row.set("config", Json::string(label));
   const auto percentiles = [&row](const std::string& prefix,
-                                  const util::SampleRecorder& samples) {
+                                  const util::LogHistogram& samples) {
     if (samples.count() == 0) return;
     row.set(prefix + "_p50", Json::number(samples.percentile(50)));
     row.set(prefix + "_p95", Json::number(samples.percentile(95)));

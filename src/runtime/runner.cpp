@@ -1,9 +1,9 @@
 #include "runtime/runner.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "core/flow_table.hpp"
 #include "net/checksum.hpp"
 #include "util/cycle_clock.hpp"
 #include "util/field_count.hpp"
@@ -78,7 +78,10 @@ void RunStats::merge_from(const RunStats& other) {
 
 ChainRunner::ChainRunner(ServiceChain& chain, RunConfig config,
                          const platform::PlatformCosts& costs)
-    : chain_(chain), config_(config), costs_(costs) {
+    : chain_(chain),
+      config_(config),
+      costs_(costs),
+      batch_(std::max<std::size_t>(1, config.batch_size)) {
   per_nf_cycle_sum_.assign(chain.size(), 0);
   per_nf_cycle_count_.assign(chain.size(), 0);
   if (config_.overload.enabled) {
@@ -496,10 +499,12 @@ void ChainRunner::process_original_batch(
   telemetry::SpanRecorder* spans =
       metrics_ != nullptr && metrics_->spans.enabled() ? &metrics_->spans
                                                        : nullptr;
-  std::vector<std::uint8_t> traced(n, 0);
+  std::vector<std::uint8_t>& traced = slot_traced_;
+  traced.assign(n, 0);
   // Slots already masked when the batch arrives are skipped end to end —
   // only slots live here are processed and accounted.
-  std::vector<std::uint8_t> entered_batch(n);
+  std::vector<std::uint8_t>& entered_batch = slot_entered_batch_;
+  entered_batch.assign(n, 0);
   std::size_t live_entry = 0;
   for (std::size_t i = 0; i < n; ++i) {
     entered_batch[i] = batch.valid(i) ? 1 : 0;
@@ -529,7 +534,8 @@ void ChainRunner::process_original_batch(
   // shared across NFs on the original path, so every NF sees exactly the
   // state and bytes it would packet-at-a-time. A slot masked by NF k
   // (dropped) skips NFs k+1.. — the scalar early exit.
-  std::vector<std::uint8_t> entered(n);
+  std::vector<std::uint8_t>& entered = slot_entered_;
+  entered.assign(n, 0);
   for (std::size_t i = 0; i < chain_.size(); ++i) {
     std::size_t live = 0;
     for (std::size_t s = 0; s < n; ++s) {
@@ -593,8 +599,10 @@ void ChainRunner::process_speedybox_batch(
 
   // Stateless pre-pass: parse + checksum-validate every live packet once
   // for the whole traversal (what the scalar classifier does per packet).
-  std::vector<std::optional<net::ParsedPacket>> parsed(n);
-  std::vector<net::FiveTuple> tuples(n);
+  auto& parsed = slot_parsed_;
+  auto& tuples = slot_tuples_;
+  parsed.assign(n, std::nullopt);
+  tuples.assign(n, net::FiveTuple{});
   std::size_t live_entry = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!batch.valid(i)) continue;
@@ -619,9 +627,9 @@ void ChainRunner::process_speedybox_batch(
   // else (initial-then-subsequent of one flow, cross-flow interleavings)
   // classifies identically up front because execution never touches the
   // classifier outside apply_teardown.
-  std::vector<std::optional<core::PacketClassifier::Classification>>
-      classifications(n);
-  std::vector<net::FiveTuple> torn;
+  auto& classifications = slot_classifications_;
+  classifications.assign(n, std::nullopt);
+  std::vector<net::FiveTuple>& torn = torn_tuples_;
   std::size_t begin = 0;
   while (begin < n) {
     torn.clear();
@@ -800,18 +808,19 @@ std::size_t ChainRunner::expire_idle_flows(double max_idle_us) {
 const RunStats& ChainRunner::run_packets(
     const std::vector<net::Packet>& packets,
     std::vector<net::Packet>* outputs) {
-  std::unordered_map<net::FiveTuple, double, net::FiveTupleHash> flow_time;
-  const std::size_t burst = std::max<std::size_t>(1, config_.batch_size);
+  // Per-flow time keyed by the pre-chain tuple: one slab record per flow,
+  // one hash per packet.
+  core::FlowTable<net::FiveTuple, double> flow_time;
+  const std::size_t burst = batch_.capacity();
   std::vector<net::Packet> local(burst);
   std::vector<std::optional<net::FiveTuple>> tuples(burst);
-  std::vector<PacketOutcome> outcomes;
   if (outputs != nullptr) {
     outputs->clear();
     outputs->reserve(packets.size());
   }
   for (std::size_t offset = 0; offset < packets.size();) {
     const std::size_t chunk = std::min(burst, packets.size() - offset);
-    net::PacketBatch batch{burst};
+    batch_.clear();
     for (std::size_t k = 0; k < chunk; ++k) {
       local[k] = packets[offset + k];
       local[k].reset_metadata();
@@ -821,41 +830,42 @@ const RunStats& ChainRunner::run_packets(
         tuples[k] = net::extract_five_tuple(local[k], *parsed);
       }
       local[k].set_arrival_cycle(util::CycleClock::now());
-      batch.push(&local[k]);
+      batch_.push(&local[k]);
     }
-    process_batch(batch, outcomes);
+    process_batch(batch_, batch_outcomes_);
     for (std::size_t k = 0; k < chunk; ++k) {
       if (tuples[k]) {
-        flow_time[*tuples[k]] +=
-            util::CycleClock::to_us(outcomes[k].latency_cycles);
+        *flow_time.try_emplace(*tuples[k], 0.0).first +=
+            util::CycleClock::to_us(batch_outcomes_[k].latency_cycles);
       }
       if (outputs != nullptr) outputs->push_back(local[k]);
     }
     offset += chunk;
   }
   flow_time_us_.clear();
-  for (const auto& [tuple, time_us] : flow_time) flow_time_us_.add(time_us);
+  flow_time.for_each([this](const net::FiveTuple&, double time_us) {
+    flow_time_us_.add(time_us);
+  });
   return stats_;
 }
 
 const RunStats& ChainRunner::run_workload(const trace::Workload& workload) {
   std::vector<double> flow_time_us(workload.flows.size(), 0.0);
-  const std::size_t burst = std::max<std::size_t>(1, config_.batch_size);
+  const std::size_t burst = batch_.capacity();
   std::vector<net::Packet> local(burst);
-  std::vector<PacketOutcome> outcomes;
   const std::size_t total = workload.order.size();
   for (std::size_t offset = 0; offset < total;) {
     const std::size_t chunk = std::min(burst, total - offset);
-    net::PacketBatch batch{burst};
+    batch_.clear();
     for (std::size_t k = 0; k < chunk; ++k) {
       local[k] = workload.materialize(offset + k);
       local[k].set_arrival_cycle(util::CycleClock::now());
-      batch.push(&local[k]);
+      batch_.push(&local[k]);
     }
-    process_batch(batch, outcomes);
+    process_batch(batch_, batch_outcomes_);
     for (std::size_t k = 0; k < chunk; ++k) {
       flow_time_us[workload.order[offset + k].flow] +=
-          util::CycleClock::to_us(outcomes[k].latency_cycles);
+          util::CycleClock::to_us(batch_outcomes_[k].latency_cycles);
     }
     offset += chunk;
   }

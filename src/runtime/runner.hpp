@@ -82,19 +82,22 @@ struct PacketOutcome {
   bool degraded = false;
 };
 
-/// Aggregated statistics of a run.
+/// Aggregated statistics of a run. Per-packet distributions are
+/// fixed-footprint streaming histograms (util::LogHistogram: exact count,
+/// sum, min and max; percentiles within 1/64 relative error), so a run's
+/// accounting does not grow with its packet count (DESIGN.md §5).
 struct RunStats {
-  util::SampleRecorder latency_us_all;
-  util::SampleRecorder latency_us_initial;
-  util::SampleRecorder latency_us_subsequent;
+  util::LogHistogram latency_us_all;
+  util::LogHistogram latency_us_initial;
+  util::LogHistogram latency_us_subsequent;
   /// Same packets, with state functions accounted sequentially (parallelism
   /// off) — lets the Fig. 7 ablation split HA vs SF contributions from one
   /// run, free of cross-run noise. Only filled on the SpeedyBox fast path.
-  util::SampleRecorder latency_us_subsequent_sequential;
-  util::SampleRecorder work_cycles_initial;
-  util::SampleRecorder work_cycles_subsequent;
-  util::SampleRecorder platform_cycles_initial;
-  util::SampleRecorder platform_cycles_subsequent;
+  util::LogHistogram latency_us_subsequent_sequential;
+  util::LogHistogram work_cycles_initial;
+  util::LogHistogram work_cycles_subsequent;
+  util::LogHistogram platform_cycles_initial;
+  util::LogHistogram platform_cycles_subsequent;
 
   std::uint64_t packets = 0;
   std::uint64_t drops = 0;
@@ -122,8 +125,9 @@ struct RunStats {
   double rate_mpps(platform::PlatformKind platform) const;
 
   /// Absorb another run's statistics (sharded runtime result merging):
-  /// sample recorders append, counters and per-NF/stage sums add, means are
-  /// recomputed from the merged sums.
+  /// histograms add bucket-wise (O(buckets), whatever the packet count),
+  /// counters and per-NF/stage sums add, means are recomputed from the
+  /// merged sums.
   void merge_from(const RunStats& other);
 
   double mean_work_cycles_subsequent() const {
@@ -272,6 +276,20 @@ class ChainRunner : public Executor {
   /// Original mode only: stats-side init/sub tagging (there is no
   /// classifier on the original path). Maintained outside measured regions.
   std::unordered_set<net::FiveTuple, net::FiveTupleHash> seen_tuples_;
+
+  // Batch-loop buffers, reused across bursts instead of allocated per
+  // burst: the run loops' burst and outcomes, and the per-slot arrays of
+  // the two batched data paths.
+  net::PacketBatch batch_;
+  std::vector<PacketOutcome> batch_outcomes_;
+  std::vector<std::uint8_t> slot_traced_;
+  std::vector<std::uint8_t> slot_entered_batch_;
+  std::vector<std::uint8_t> slot_entered_;
+  std::vector<std::optional<net::ParsedPacket>> slot_parsed_;
+  std::vector<net::FiveTuple> slot_tuples_;
+  std::vector<std::optional<core::PacketClassifier::Classification>>
+      slot_classifications_;
+  std::vector<net::FiveTuple> torn_tuples_;
 };
 
 }  // namespace speedybox::runtime

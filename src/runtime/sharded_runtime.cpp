@@ -188,7 +188,7 @@ void ShardedRuntime::worker(Shard& shard) {
       for (std::size_t k = 0; k < live.size(); ++k) {
         Job& job = jobs[live[k]];
         if (job.tuple) {
-          shard.flow_time_us[*job.tuple] +=
+          *shard.flow_time_us.try_emplace(*job.tuple, 0.0).first +=
               util::CycleClock::to_us(outcomes[k].latency_cycles);
         }
         shard.processed.push_back(
@@ -317,7 +317,7 @@ ShardedRunResult ShardedRuntime::finish() {
   // than one shard, so per-flow times accumulate across shards by tuple
   // before becoming samples (a static run degenerates to the old
   // disjoint-keys merge).
-  std::unordered_map<net::FiveTuple, double, net::FiveTupleHash> flow_time;
+  core::FlowTable<net::FiveTuple, double> flow_time;
   for (auto& shard : shards_) {
     const RunStats& stats = shard->runner->stats();
     result.shard_stats.push_back(stats);
@@ -328,15 +328,16 @@ ShardedRunResult ShardedRuntime::finish() {
       result.outcomes[rec.index] = rec.outcome;
       result.packets[rec.index] = std::move(rec.packet);
     }
-    for (const auto& [tuple, time_us] : shard->flow_time_us) {
-      flow_time[tuple] += time_us;
-    }
+    shard->flow_time_us.for_each(
+        [&flow_time](const net::FiveTuple& tuple, double time_us) {
+          *flow_time.try_emplace(tuple, 0.0).first += time_us;
+        });
     shard->processed.clear();
     shard->processed.shrink_to_fit();
   }
-  for (const auto& [tuple, time_us] : flow_time) {
+  flow_time.for_each([&result](const net::FiveTuple&, double time_us) {
     result.flow_time_us.add(time_us);
-  }
+  });
   // Dispatcher-shed packets never reached a shard runner, so no shard's
   // `offered` counted them: add them to both sides of the conservation
   // identity (offered == packets + shed_total) exactly once.

@@ -19,7 +19,8 @@
 //     ChainRunner::process_batch in FIFO order, records outcomes + stats
 //   finish()
 //     joins workers, reassembles outcomes/packets in input order, merges
-//     per-shard RunStats (exact sum/count merging, see RunStats::merge_from)
+//     per-shard RunStats (O(buckets) histogram merging, see
+//     RunStats::merge_from)
 //
 // Concurrency contract (DESIGN.md "Sharded runtime"): the symmetric hash
 // gives both directions of a connection the same shard, so every flow's
@@ -48,9 +49,9 @@
 #include <optional>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "core/flow_table.hpp"
 #include "net/packet.hpp"
 #include "runtime/chain.hpp"
 #include "runtime/executor.hpp"
@@ -66,7 +67,8 @@ namespace speedybox::runtime {
 /// (RunStats + per-flow times + per-packet outcomes), so figure benches and
 /// chainsim report sharded runs through their existing paths.
 struct ShardedRunResult {
-  /// Exact merge of the per-shard stats (samples appended, sums added).
+  /// Merge of the per-shard stats (histograms added bucket-wise, sums
+  /// added).
   RunStats stats;
   std::vector<RunStats> shard_stats;
   /// Packets dispatched to each shard.
@@ -244,8 +246,7 @@ class ShardedRuntime : public Executor {
     // Worker-local until the thread is joined; read only afterwards (or
     // while quiesced, ordered by the drain-marker epoch handshake).
     std::vector<Processed> processed;
-    std::unordered_map<net::FiveTuple, double, net::FiveTupleHash>
-        flow_time_us;
+    core::FlowTable<net::FiveTuple, double> flow_time_us;
   };
 
   void worker(Shard& shard);

@@ -7,9 +7,16 @@ util::LogHistogram CycleHistogram::snapshot() const {
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     counts[i] = buckets_[i].get();
   }
-  return util::LogHistogram::from_raw(counts.data(),
-                                      static_cast<int>(counts.size()),
-                                      static_cast<double>(sum_.get()));
+  const auto n = static_cast<int>(counts.size());
+  const auto sum = static_cast<double>(sum_.get());
+  const std::uint64_t min = min_.get();
+  const std::uint64_t max = max_.get();
+  // Extremes not yet published by an in-flight first record() fall back to
+  // the bucket-derived ones.
+  if (min > max) return util::LogHistogram::from_raw(counts.data(), n, sum);
+  return util::LogHistogram::from_raw(counts.data(), n, sum,
+                                      static_cast<double>(min),
+                                      static_cast<double>(max));
 }
 
 ShardMetrics::ShardMetrics(std::string shard_label,

@@ -57,17 +57,22 @@ class RelaxedCell {
 using Counter = RelaxedCell;  // monotonic
 using Gauge = RelaxedCell;    // set to the latest value
 
-/// Lock-free mirror of util::LogHistogram: same eighth-octave bucket
-/// geometry, atomic single-writer buckets, materialized as a LogHistogram
-/// on snapshot (so percentile math lives in exactly one place).
+/// Lock-free mirror of util::LogHistogram: same bucket geometry (32
+/// sub-buckets per octave), atomic single-writer buckets plus exact
+/// sum/min/max, materialized as a LogHistogram on snapshot (so percentile
+/// math lives in exactly one place).
 class CycleHistogram {
  public:
-  CycleHistogram() : buckets_(util::LogHistogram::raw_bucket_count()) {}
+  CycleHistogram() : buckets_(util::LogHistogram::raw_bucket_count()) {
+    min_.set(~std::uint64_t{0});
+  }
 
   /// Writer-thread only.
   void record(std::uint64_t cycles) noexcept {
     const int index =
         util::LogHistogram::raw_bucket_index(static_cast<double>(cycles));
+    if (cycles < min_.get()) min_.set(cycles);
+    if (cycles > max_.get()) max_.set(cycles);
     buckets_[static_cast<std::size_t>(index)].add(1);
     sum_.add(cycles);
   }
@@ -80,6 +85,8 @@ class CycleHistogram {
  private:
   std::vector<RelaxedCell> buckets_;
   RelaxedCell sum_;
+  RelaxedCell min_;
+  RelaxedCell max_;
 };
 
 /// Per-NF attribution: slow-path (recording / original chain) work cycles.

@@ -269,6 +269,64 @@ TEST(BenchGateProperty, UnstableTailSkipsP99WithoutLatencyFallback) {
   }
 }
 
+/// gated_row() with chosen gated keys left out — what a candidate looks
+/// like when an emitter silently stops writing a metric.
+telemetry::Json row_without(bool with_rate, bool with_p99, bool unstable) {
+  telemetry::Json row = telemetry::Json::object();
+  row.set("config", telemetry::Json::string("runner/speedybox"));
+  row.set("chain", telemetry::Json::string("chain1"));
+  row.set("workload", telemetry::Json::string("elephant-mice"));
+  row.set("gated", telemetry::Json::boolean(true));
+  if (with_rate) row.set("rel_rate", telemetry::Json::number(2.0));
+  if (with_p99) row.set("rel_p99", telemetry::Json::number(0.6));
+  if (unstable) row.set("rel_p99_unstable", telemetry::Json::boolean(true));
+  return row;
+}
+
+const GateFinding* finding_for(const GateReport& report,
+                               const std::string& metric) {
+  for (const GateFinding& finding : report.findings) {
+    if (finding.metric == metric) return &finding;
+  }
+  return nullptr;
+}
+
+TEST(BenchGateProperty, CandidateMissingGatedTailFailsClosed) {
+  // A missing key must not read as 0 — for a lower-is-better tail ratio
+  // that would be a perfect score.
+  const GateReport report = gate_compare(
+      make_document({gated_row(2.0, 0.6)}),
+      make_document({row_without(true, false, false)}), GateConfig{});
+  EXPECT_FALSE(report.pass());
+  const GateFinding* tail = finding_for(report, "rel_p99");
+  ASSERT_NE(tail, nullptr);
+  EXPECT_FALSE(tail->ok);
+  EXPECT_EQ(tail->message.rfind("MISSING", 0), 0u) << tail->message;
+}
+
+TEST(BenchGateProperty, CandidateMissingGatedRateFailsClosed) {
+  // rel_p99_unstable excuses only the tail, never the rate.
+  const GateReport report = gate_compare(
+      make_document({gated_row(2.0, 0.6)}),
+      make_document({row_without(false, true, true)}), GateConfig{});
+  EXPECT_FALSE(report.pass());
+  const GateFinding* rate = finding_for(report, "rel_rate");
+  ASSERT_NE(rate, nullptr);
+  EXPECT_FALSE(rate->ok);
+}
+
+TEST(BenchGateProperty, CandidateDeclaringUnstableTailIsReportedUngated) {
+  const GateReport report = gate_compare(
+      make_document({gated_row(2.0, 0.6)}),
+      make_document({row_without(true, false, true)}), GateConfig{});
+  EXPECT_TRUE(report.pass());
+  const GateFinding* tail = finding_for(report, "rel_p99");
+  ASSERT_NE(tail, nullptr);
+  EXPECT_TRUE(tail->ok);
+  EXPECT_EQ(tail->message.rfind("UNGATED (unstable)", 0), 0u)
+      << tail->message;
+}
+
 TEST(BenchGateProperty, MissingRowFailsCoverage) {
   const telemetry::Json baseline = make_document({gated_row(2.0, 0.6)});
   telemetry::Json other = gated_row(2.0, 0.6);
