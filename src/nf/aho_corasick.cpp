@@ -1,75 +1,126 @@
 #include "nf/aho_corasick.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
+#include <stdexcept>
 
 namespace speedybox::nf {
 
-void AhoCorasick::add_pattern(std::string_view pattern, std::uint32_t id) {
+namespace {
+
+constexpr std::uint8_t fold(unsigned char byte) noexcept {
+  return byte >= 'A' && byte <= 'Z' ? static_cast<std::uint8_t>(byte + 32)
+                                    : byte;
+}
+
+}  // namespace
+
+void AhoCorasick::add_pattern(std::string_view pattern, std::uint32_t id,
+                              bool nocase) {
   if (pattern.empty()) return;
   built_ = false;
-  std::int32_t node = 0;
-  for (const char c : pattern) {
-    const auto byte = static_cast<std::uint8_t>(c);
-    if (nodes_[static_cast<std::size_t>(node)].next[byte] < 0) {
-      nodes_[static_cast<std::size_t>(node)].next[byte] =
-          static_cast<std::int32_t>(nodes_.size());
-      nodes_.emplace_back();
-    }
-    node = nodes_[static_cast<std::size_t>(node)].next[byte];
-  }
-  nodes_[static_cast<std::size_t>(node)].outputs.push_back(id);
-  ++pattern_count_;
+  const bool has_letter =
+      std::any_of(pattern.begin(), pattern.end(), [](char c) {
+        return fold(static_cast<unsigned char>(c)) >= 'a' &&
+               fold(static_cast<unsigned char>(c)) <= 'z';
+      });
+  patterns_.push_back({std::string{pattern}, id, !nocase && has_letter});
 }
 
 void AhoCorasick::build() {
   if (built_) return;
-  std::queue<std::int32_t> queue;
-  // Root's missing transitions loop back to root.
-  for (int c = 0; c < 256; ++c) {
-    std::int32_t& next = nodes_[0].next[static_cast<std::size_t>(c)];
-    if (next < 0) {
-      next = 0;
-    } else {
-      nodes_[static_cast<std::size_t>(next)].fail = 0;
-      queue.push(next);
+  // One class per folded byte occurring in a pattern (at most 230, so the
+  // classes fit a uint8), class 0 for every other byte.
+  std::array<std::uint8_t, 256> folded_class{};
+  stride_ = 1;
+  for (const Pattern& pattern : patterns_) {
+    for (const char c : pattern.bytes) {
+      std::uint8_t& cls = folded_class[fold(static_cast<unsigned char>(c))];
+      if (cls == 0) cls = static_cast<std::uint8_t>(stride_++);
     }
   }
-  // BFS: fail links + goto completion (full automaton, O(1) per input byte).
-  while (!queue.empty()) {
-    const std::int32_t u = queue.front();
-    queue.pop();
-    Node& node_u = nodes_[static_cast<std::size_t>(u)];
-    const Node& fail_u = nodes_[static_cast<std::size_t>(node_u.fail)];
-    // Inherit outputs along the fail chain.
-    node_u.outputs.insert(node_u.outputs.end(), fail_u.outputs.begin(),
-                          fail_u.outputs.end());
-    for (int c = 0; c < 256; ++c) {
-      const std::int32_t v = node_u.next[static_cast<std::size_t>(c)];
-      const std::int32_t via_fail = fail_u.next[static_cast<std::size_t>(c)];
+  for (std::size_t b = 0; b < 256; ++b) {
+    byte_class_[b] = folded_class[fold(static_cast<unsigned char>(b))];
+  }
+
+  // Trie over classes (go[state * stride_ + class], -1 = no edge); out[s]
+  // lists the patterns ending at s.
+  std::vector<std::int32_t> go(stride_, -1);
+  std::vector<std::vector<std::uint32_t>> out(1);
+  for (std::uint32_t p = 0; p < patterns_.size(); ++p) {
+    std::size_t state = 0;
+    for (const char c : patterns_[p].bytes) {
+      const std::size_t edge =
+          state * stride_ + byte_class_[static_cast<unsigned char>(c)];
+      if (go[edge] < 0) {
+        go[edge] = static_cast<std::int32_t>(out.size());
+        go.resize(go.size() + stride_, -1);
+        out.emplace_back();
+      }
+      state = static_cast<std::size_t>(go[edge]);
+    }
+    out[state].push_back(p);
+  }
+  const std::size_t states = out.size();
+  if (states * stride_ > UINT32_MAX) {
+    throw std::length_error("AhoCorasick: transition table too large");
+  }
+
+  // BFS: fail links, outputs inherited along the fail chain, and goto
+  // completion (one transition per input byte); root's missing edges loop.
+  std::vector<std::size_t> fail(states, 0);
+  std::vector<std::size_t> queue;
+  for (std::size_t c = 0; c < stride_; ++c) {
+    if (go[c] < 0) {
+      go[c] = 0;
+    } else {
+      queue.push_back(static_cast<std::size_t>(go[c]));
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::size_t u = queue[head];
+    out[u].insert(out[u].end(), out[fail[u]].begin(), out[fail[u]].end());
+    for (std::size_t c = 0; c < stride_; ++c) {
+      const std::int32_t via_fail = go[fail[u] * stride_ + c];
+      std::int32_t& v = go[u * stride_ + c];
       if (v < 0) {
-        nodes_[static_cast<std::size_t>(u)].next[static_cast<std::size_t>(c)] =
-            via_fail;
+        v = via_fail;
       } else {
-        nodes_[static_cast<std::size_t>(v)].fail = via_fail;
-        queue.push(v);
+        fail[static_cast<std::size_t>(v)] =
+            static_cast<std::size_t>(via_fail);
+        queue.push_back(static_cast<std::size_t>(v));
       }
     }
   }
-  built_ = true;
-}
 
-void AhoCorasick::match(
-    std::span<const std::uint8_t> text,
-    const std::function<void(std::uint32_t, std::size_t)>& on_match) const {
-  std::int32_t node = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    node = nodes_[static_cast<std::size_t>(node)].next[text[i]];
-    for (const std::uint32_t id :
-         nodes_[static_cast<std::size_t>(node)].outputs) {
-      on_match(id, i + 1);
+  // Renumber so states with outputs come last (root has none and stays 0),
+  // then emit rows of pre-multiplied next-row offsets and flat outputs.
+  std::vector<std::size_t> order(states);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto first_match =
+      std::stable_partition(order.begin(), order.end(),
+                            [&](std::size_t s) { return out[s].empty(); });
+  std::vector<std::uint32_t> number(states);
+  for (std::size_t n = 0; n < states; ++n) {
+    number[order[n]] = static_cast<std::uint32_t>(n);
+  }
+  match_row_ =
+      static_cast<std::uint32_t>(first_match - order.begin()) * stride_;
+  delta_.resize(states * stride_);
+  for (std::size_t n = 0; n < states; ++n) {
+    for (std::size_t c = 0; c < stride_; ++c) {
+      delta_[n * stride_ + c] =
+          number[static_cast<std::size_t>(go[order[n] * stride_ + c])] *
+          stride_;
     }
   }
+  outputs_.clear();
+  output_begin_.assign(1, 0);
+  for (auto s = first_match; s != order.end(); ++s) {
+    outputs_.insert(outputs_.end(), out[*s].begin(), out[*s].end());
+    output_begin_.push_back(static_cast<std::uint32_t>(outputs_.size()));
+  }
+  built_ = true;
 }
 
 std::vector<std::uint32_t> AhoCorasick::match_ids(
@@ -79,15 +130,6 @@ std::vector<std::uint32_t> AhoCorasick::match_ids(
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
-}
-
-bool AhoCorasick::contains_any(std::span<const std::uint8_t> text) const {
-  std::int32_t node = 0;
-  for (const std::uint8_t byte : text) {
-    node = nodes_[static_cast<std::size_t>(node)].next[byte];
-    if (!nodes_[static_cast<std::size_t>(node)].outputs.empty()) return true;
-  }
-  return false;
 }
 
 }  // namespace speedybox::nf

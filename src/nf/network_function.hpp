@@ -42,7 +42,7 @@ class NetworkFunction {
   /// per slot, or is empty when every slot runs baseline (ctx = nullptr).
   /// The default loops the scalar process() over the valid slots in slot
   /// order — every NF keeps working unchanged — and masks slots whose
-  /// packet dropped. Overrides (Monitor, IpFilter, SnortIds) hoist the
+  /// packet dropped. Overrides (Monitor, IpFilter) hoist the
   /// stateless per-packet work (parse + validate + hash) into a pre-pass
   /// that prefetches across the batch, but MUST keep all stateful work in
   /// slot order and byte-identical to the scalar path: the differential

@@ -3,21 +3,8 @@
 #include <stdexcept>
 
 #include "nf/flow_state.hpp"
-#include "util/prefetch.hpp"
 
 namespace speedybox::nf {
-
-namespace {
-
-std::string to_lower(std::string_view text) {
-  std::string lowered{text};
-  for (char& c : lowered) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return lowered;
-}
-
-}  // namespace
 
 SnortIds::SnortIds(std::vector<SnortRule> rules, std::string name)
     : NetworkFunction(std::move(name)), rules_(std::move(rules)) {
@@ -27,15 +14,10 @@ SnortIds::SnortIds(std::vector<SnortRule> rules, std::string name)
       const auto pattern_id =
           static_cast<std::uint32_t>(pattern_owner_.size());
       pattern_owner_.emplace_back(r, c);
-      if (content.nocase) {
-        nocase_matcher_.add_pattern(to_lower(content.pattern), pattern_id);
-      } else {
-        matcher_.add_pattern(content.pattern, pattern_id);
-      }
+      matcher_.add_pattern(content.pattern, pattern_id, content.nocase);
     }
   }
   matcher_.build();
-  nocase_matcher_.build();
   matched_generation_.assign(rules_.size(), 0);
   matched_bits_.assign(rules_.size(), 0);
 }
@@ -62,10 +44,11 @@ void SnortIds::inspect(const net::FiveTuple& tuple, const FlowState& state,
   if (state.candidate_rules.empty()) return;
   const auto payload = net::payload_view(packet, parsed);
 
-  // One automaton pass per case class; mark which contents of which rules
-  // occurred at positions satisfying their offset/depth constraints.
+  // One automaton pass over the raw payload serves both case classes; mark
+  // which contents of which rules occurred at positions satisfying their
+  // offset/depth constraints.
   ++generation_;
-  const auto on_match = [this](std::uint32_t pattern_id, std::size_t end) {
+  matcher_.match(payload, [this](std::uint32_t pattern_id, std::size_t end) {
     const auto [rule, content] = pattern_owner_[pattern_id];
     if (!rules_[rule].contents[content].position_ok(end)) return;
     if (matched_generation_[rule] != generation_) {
@@ -73,24 +56,12 @@ void SnortIds::inspect(const net::FiveTuple& tuple, const FlowState& state,
       matched_bits_[rule] = 0;
     }
     matched_bits_[rule] |= 1ULL << content;
-  };
-  if (matcher_.pattern_count() > 0) {
-    matcher_.match(payload, on_match);
-  }
-  if (nocase_matcher_.pattern_count() > 0) {
-    lowercase_scratch_.assign(payload.begin(), payload.end());
-    for (std::uint8_t& byte : lowercase_scratch_) {
-      if (byte >= 'A' && byte <= 'Z') {
-        byte = static_cast<std::uint8_t>(byte - 'A' + 'a');
-      }
-    }
-    nocase_matcher_.match(lowercase_scratch_, on_match);
-  }
+  });
 
   // Evaluate candidates; pass-first order (a firing pass rule suppresses
   // alert/log outcomes for this packet).
   bool passed = false;
-  std::vector<std::uint32_t> fired;
+  fired_.clear();
   for (const std::uint32_t r : state.candidate_rules) {
     if (matched_generation_[r] != generation_) continue;
     const SnortRule& rule = rules_[r];
@@ -103,13 +74,13 @@ void SnortIds::inspect(const net::FiveTuple& tuple, const FlowState& state,
       passed = true;
       break;
     }
-    fired.push_back(r);
+    fired_.push_back(r);
   }
   if (passed) {
     ++passes_;
     return;
   }
-  for (const std::uint32_t r : fired) {
+  for (const std::uint32_t r : fired_) {
     const SnortRule& rule = rules_[r];
     log_.push_back({tuple, rule.sid, rule.action});
     if (rule.action == SnortAction::kAlert) {
@@ -118,6 +89,25 @@ void SnortIds::inspect(const net::FiveTuple& tuple, const FlowState& state,
       ++logs_;
     }
   }
+}
+
+void SnortIds::record(core::SpeedyBoxContext* ctx, const net::FiveTuple& tuple,
+                      const FlowState& state) {
+  // Snort never modifies packets: forward header action (§VI-C), and the
+  // inspection wrapped as a READ-class state function. Per Figure 2 the
+  // handler is recorded together with its args — here the flow's resolved
+  // rule-group state — so the fast path skips the per-packet flow-table
+  // lookup (slab records are pointer-stable across resizes; the teardown
+  // hook that frees the state runs only when the rule itself is erased).
+  ctx->add_header_action(core::HeaderAction::forward());
+  core::localmat_add_SF(
+      ctx,
+      [this, tuple, flow_args = &state](net::Packet& pkt,
+                                        const net::ParsedPacket& p) {
+        inspect(tuple, *flow_args, pkt, p);
+      },
+      core::PayloadAccess::kRead, name() + ".inspect");
+  ctx->on_teardown([this, tuple]() { flows_.erase(tuple); });
 }
 
 void SnortIds::process(net::Packet& packet, core::SpeedyBoxContext* ctx) {
@@ -131,80 +121,13 @@ void SnortIds::process(net::Packet& packet, core::SpeedyBoxContext* ctx) {
 
   inspect(tuple, state, packet, *parsed);
 
-  if (ctx != nullptr) {
-    // Snort never modifies packets: forward header action (§VI-C), and the
-    // inspection wrapped as a READ-class state function. Per Figure 2 the
-    // handler is recorded together with its args — here the flow's resolved
-    // rule-group state — so the fast path skips the per-packet flow-table
-    // lookup (slab records are pointer-stable across resizes; the teardown
-    // hook that frees the state runs only when the rule itself is erased).
-    ctx->add_header_action(core::HeaderAction::forward());
-    const FlowState* flow_args = &state;
-    core::localmat_add_SF(
-        ctx,
-        [this, tuple, flow_args](net::Packet& pkt,
-                                 const net::ParsedPacket& p) {
-          inspect(tuple, *flow_args, pkt, p);
-        },
-        core::PayloadAccess::kRead, name() + ".inspect");
-    ctx->on_teardown([this, tuple]() { flows_.erase(tuple); });
-  }
+  if (ctx != nullptr) record(ctx, tuple, state);
 
   // Connection close frees the flow state inline on the unrecorded path;
   // on the recorded path the teardown hook does it (after the rule whose
   // handler references this state has been destroyed).
   if (ctx == nullptr && parsed->has_fin_or_rst()) {
     flows_.erase(tuple, flow.hash);
-  }
-}
-
-void SnortIds::process_batch(net::PacketBatch& batch,
-                             std::span<core::SpeedyBoxContext* const> ctxs) {
-  // Pre-pass: parse + validate and prefetch each payload — the automaton
-  // walks every payload byte, so streaming the later packets' payloads in
-  // while the earlier ones are inspected hides their memory latency.
-  struct Live {
-    std::size_t slot;
-    net::ParsedPacket parsed;
-    core::HashedTuple flow;
-  };
-  std::vector<Live> live;
-  live.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!batch.valid(i)) continue;
-    core::SpeedyBoxContext* ctx = ctxs.empty() ? nullptr : ctxs[i];
-    if (ctx != nullptr) {
-      // Recording stays scalar (DESIGN.md §8).
-      process(batch.packet(i), ctx);
-      if (batch.packet(i).dropped()) batch.mask(i);
-      continue;
-    }
-    net::Packet& packet = batch.packet(i);
-    count_packet();
-    const auto parsed = parse_and_check(packet);
-    if (!parsed) {
-      batch.mask(i);
-      continue;
-    }
-    const auto payload = net::payload_view(packet, *parsed);
-    for (std::size_t off = 0; off < payload.size();
-         off += util::kCacheLineSize) {
-      util::prefetch_read(payload.data() + off);
-    }
-    const auto flow =
-        core::HashedTuple::of(net::extract_five_tuple(packet, *parsed));
-    flows_.prefetch(flow.hash);
-    live.push_back({i, *parsed, flow});
-  }
-  // Stateful pass in slot order: candidate-set assignment (first packet of
-  // a flow), inspection, and the inline FIN/RST flow-state erase interleave
-  // exactly as the scalar loop would.
-  for (const Live& entry : live) {
-    FlowState& state = flow_state(entry.flow);
-    inspect(entry.flow.tuple, state, batch.packet(entry.slot), entry.parsed);
-    if (entry.parsed.has_fin_or_rst()) {
-      flows_.erase(entry.flow.tuple, entry.flow.hash);
-    }
   }
 }
 
@@ -230,20 +153,9 @@ void SnortIds::import_flow_state(const net::FiveTuple& tuple,
       throw std::invalid_argument("SnortIds: imported rule index out of range");
     }
   }
-  if (ctx != nullptr) {
-    // Re-record what process() recorded on the initial packet, binding the
-    // destination's own flow-state node.
-    ctx->add_header_action(core::HeaderAction::forward());
-    const FlowState* flow_args = &stored;
-    core::localmat_add_SF(
-        ctx,
-        [this, tuple, flow_args](net::Packet& pkt,
-                                 const net::ParsedPacket& p) {
-          inspect(tuple, *flow_args, pkt, p);
-        },
-        core::PayloadAccess::kRead, name() + ".inspect");
-    ctx->on_teardown([this, tuple]() { flows_.erase(tuple); });
-  }
+  // Re-record what process() recorded on the initial packet, binding the
+  // destination's own flow-state node.
+  if (ctx != nullptr) record(ctx, tuple, stored);
 }
 
 }  // namespace speedybox::nf

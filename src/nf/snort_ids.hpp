@@ -64,12 +64,6 @@ class SnortIds : public NetworkFunction {
                     std::string name = "snort");
 
   void process(net::Packet& packet, core::SpeedyBoxContext* ctx) override;
-  /// Batched override: parse + tuple extraction hoisted into a pre-pass
-  /// that prefetches each packet's payload ahead of the automaton scans;
-  /// flow-table mutations, inspection and teardown erases stay in slot
-  /// order, bit-identical to scalar.
-  void process_batch(net::PacketBatch& batch,
-                     std::span<core::SpeedyBoxContext* const> ctxs) override;
   void on_flow_teardown(const net::FiveTuple& tuple) override;
   /// Replicas recompile the automaton from the rule set (config-time cost,
   /// paid once per shard at deployment).
@@ -105,14 +99,16 @@ class SnortIds : public NetworkFunction {
   FlowState& flow_state(const core::HashedTuple& flow);
   void inspect(const net::FiveTuple& tuple, const FlowState& state,
                net::Packet& packet, const net::ParsedPacket& parsed);
+  /// Record the forward action and the inspect state function bound to
+  /// `state`, plus the teardown hook that frees it.
+  void record(core::SpeedyBoxContext* ctx, const net::FiveTuple& tuple,
+              const FlowState& state);
 
   std::vector<SnortRule> rules_;
-  AhoCorasick matcher_;         // case-sensitive contents, raw payload
-  AhoCorasick nocase_matcher_;  // lowercased contents, lowercased payload
+  /// Every content of every rule, each with its own nocase flag.
+  AhoCorasick matcher_;
   /// Automaton pattern id -> (rule index, content index within the rule).
-  /// Shared id space across both automatons.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pattern_owner_;
-  std::vector<std::uint8_t> lowercase_scratch_;
 
   FlowStateTable<FlowState> flows_;
   std::vector<SnortLogEntry> log_;
@@ -120,10 +116,12 @@ class SnortIds : public NetworkFunction {
   std::uint64_t logs_ = 0;
   std::uint64_t passes_ = 0;
 
-  // Scratch: per-rule matched-content bitmap, reused across packets.
+  // Scratch reused across packets: per-rule matched-content bitmap, and
+  // the rules that fired on the current packet.
   std::vector<std::uint32_t> matched_generation_;
   std::vector<std::uint64_t> matched_bits_;
   std::uint32_t generation_ = 0;
+  std::vector<std::uint32_t> fired_;
 };
 
 }  // namespace speedybox::nf

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -183,16 +184,23 @@ void ShardedRuntime::worker(Shard& shard) {
       batch.push(&jobs[i].packet);
       live.push_back(i);
     }
-    if (!live.empty()) {
-      shard.runner->process_batch(batch, outcomes);
-      for (std::size_t k = 0; k < live.size(); ++k) {
-        Job& job = jobs[live[k]];
-        if (job.tuple) {
-          *shard.flow_time_us.try_emplace(*job.tuple, 0.0).first +=
-              util::CycleClock::to_us(outcomes[k].latency_cycles);
+    // After a fault the worker keeps popping (and discarding) jobs, so the
+    // dispatcher's backpressure loop and quiesce() never wait on it;
+    // finish() rethrows the fault once the worker is joined.
+    if (!live.empty() && !shard.error) {
+      try {
+        shard.runner->process_batch(batch, outcomes);
+        for (std::size_t k = 0; k < live.size(); ++k) {
+          Job& job = jobs[live[k]];
+          if (job.tuple) {
+            *shard.flow_time_us.try_emplace(*job.tuple, 0.0).first +=
+                util::CycleClock::to_us(outcomes[k].latency_cycles);
+          }
+          shard.processed.push_back(
+              {job.index, outcomes[k], std::move(job.packet)});
         }
-        shard.processed.push_back(
-            {job.index, outcomes[k], std::move(job.packet)});
+      } catch (...) {
+        shard.error = std::current_exception();
       }
     }
     if (marker_epoch != 0) {
@@ -306,6 +314,20 @@ void ShardedRuntime::join_workers() {
 
 ShardedRunResult ShardedRuntime::finish() {
   join_workers();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (!shards_[s]->error) continue;
+    try {
+      std::rethrow_exception(shards_[s]->error);
+    } catch (const std::exception& error) {
+      std::throw_with_nested(std::runtime_error(
+          "ShardedRuntime: shard " + std::to_string(s) +
+          " worker threw: " + error.what()));
+    } catch (...) {
+      std::throw_with_nested(std::runtime_error(
+          "ShardedRuntime: shard " + std::to_string(s) +
+          " worker threw a non-standard exception"));
+    }
+  }
   ShardedRunResult result;
   result.wall_seconds =
       static_cast<double>(steady_ns() - start_ns_) / 1e9;

@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -129,7 +130,10 @@ class ShardedRuntime : public Executor {
   void push(net::Packet packet);
 
   /// Drain everything in flight, join the workers, and merge the per-shard
-  /// results. One-shot: the runtime cannot be pushed to afterwards.
+  /// results. One-shot: the runtime cannot be pushed to afterwards. If a
+  /// shard's chain threw, the worker stopped processing (it keeps draining
+  /// its ring) and finish() throws std::runtime_error naming the lowest
+  /// such shard, with the original exception nested.
   ShardedRunResult finish();
 
   /// Convenience one-shot run: push every packet (copied, metadata reset)
@@ -247,6 +251,8 @@ class ShardedRuntime : public Executor {
     // while quiesced, ordered by the drain-marker epoch handshake).
     std::vector<Processed> processed;
     core::FlowTable<net::FiveTuple, double> flow_time_us;
+    /// First exception the worker's chain threw; rethrown by finish().
+    std::exception_ptr error;
   };
 
   void worker(Shard& shard);

@@ -1,7 +1,11 @@
 #include "nf/aho_corasick.hpp"
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +142,111 @@ TEST_P(AhoCorasickProperty, MatchesNaiveSearch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AhoCorasickProperty,
                          ::testing::Values(3, 14, 159, 2653));
+
+/// Differential test of mixed-case pattern sets: every pattern carries its
+/// own nocase flag, and the oracle folds ASCII A–Z only for nocase ones.
+class AhoCorasickCaseProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+bool occurs_at(const std::string& text, std::size_t pos,
+               const std::string& pattern, bool nocase) {
+  for (std::size_t k = 0; k < pattern.size(); ++k) {
+    const char t = text[pos + k];
+    const char p = pattern[k];
+    if (nocase ? ascii_lower(t) != ascii_lower(p) : t != p) return false;
+  }
+  return true;
+}
+
+TEST_P(AhoCorasickCaseProperty, MatchesFoldingOracle) {
+  util::Rng rng{GetParam()};
+  // Letters in both cases, the bytes just outside A–Z and a–z ('@' '['
+  // '\\' '`' '{', where '@'/'`' and '['/'{' differ by 0x20 like 'A'/'a'),
+  // NUL, and 0xC1/0xE1, which also differ by 0x20 but must never fold.
+  const std::string narrow{"abAB@[\\`{\x00\xC1\xE1", 12};
+  const auto random_byte = [&]() {
+    if (rng.chance(0.75)) return narrow[rng.below(narrow.size())];
+    const auto letter = static_cast<char>('a' + rng.below(26));
+    return rng.chance(0.5) ? static_cast<char>(letter - 'a' + 'A') : letter;
+  };
+  const auto random_string = [&](std::size_t min_len, std::size_t max_len) {
+    std::string s(min_len + rng.below(max_len - min_len + 1), 'a');
+    for (char& c : s) c = random_byte();
+    return s;
+  };
+
+  for (int trial = 0; trial < 100; ++trial) {
+    struct Entry {
+      std::string bytes;
+      bool nocase;
+    };
+    std::vector<Entry> patterns;
+    const std::size_t count = 2 + rng.below(10);
+    while (patterns.size() < count) {
+      const std::size_t pick = rng.below(5);
+      if (patterns.empty() || pick == 0) {
+        patterns.push_back({random_string(1, 4), rng.chance(0.5)});
+        continue;
+      }
+      Entry derived = patterns[rng.below(patterns.size())];
+      if (pick == 1) {
+        // Same letters, flipped case: differs only by case.
+        for (char& c : derived.bytes) {
+          if (c >= 'a' && c <= 'z') {
+            c = static_cast<char>(c - 'a' + 'A');
+          } else if (c >= 'A' && c <= 'Z') {
+            c = static_cast<char>(c - 'A' + 'a');
+          }
+        }
+        derived.nocase = rng.chance(0.5);
+      } else if (pick == 2) {
+        derived.nocase = rng.chance(0.5);  // duplicate bytes
+      } else if (pick == 3) {
+        derived.bytes.resize(1 + rng.below(derived.bytes.size()));  // prefix
+      } else {
+        derived.bytes.erase(0, rng.below(derived.bytes.size()));  // suffix
+      }
+      patterns.push_back(derived);
+    }
+
+    AhoCorasick ac;
+    for (std::uint32_t id = 0; id < patterns.size(); ++id) {
+      ac.add_pattern(patterns[id].bytes, id, patterns[id].nocase);
+    }
+    ac.build();
+    const std::string text = random_string(0, 300);
+
+    std::multiset<std::pair<std::uint32_t, std::size_t>> expected;
+    for (std::uint32_t id = 0; id < patterns.size(); ++id) {
+      const Entry& pattern = patterns[id];
+      for (std::size_t pos = 0; pos + pattern.bytes.size() <= text.size();
+           ++pos) {
+        if (occurs_at(text, pos, pattern.bytes, pattern.nocase)) {
+          expected.emplace(id, pos + pattern.bytes.size());
+        }
+      }
+    }
+    std::multiset<std::pair<std::uint32_t, std::size_t>> actual;
+    ac.match(as_bytes(text), [&](std::uint32_t id, std::size_t end) {
+      actual.emplace(id, end);
+    });
+    ASSERT_EQ(actual, expected) << "trial " << trial;
+
+    std::vector<std::uint32_t> ids;
+    for (const auto& hit : expected) ids.push_back(hit.first);
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    EXPECT_EQ(ac.match_ids(as_bytes(text)), ids) << "trial " << trial;
+    EXPECT_EQ(ac.contains_any(as_bytes(text)), !expected.empty())
+        << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AhoCorasickCaseProperty,
+                         ::testing::Values(5, 27, 182, 8459, 90210));
 
 }  // namespace
 }  // namespace speedybox::nf

@@ -187,6 +187,35 @@ TEST(SnortIds, MixedCaseClassesInOneRule) {
       << "the case-sensitive content must still be enforced";
 }
 
+TEST(SnortIds, CaseClassesOfOneWordStayApart) {
+  // The same word as a case-sensitive and a nocase content: one automaton
+  // state serves both, and only the nocase rule may fire on "SeLeCt".
+  const auto rules = parse_snort_rules(R"(
+alert tcp any any -> any 80 (content:"SELECT"; sid:801;)
+alert tcp any any -> any 80 (content:"select"; nocase; sid:802;)
+)");
+  SnortIds direct{rules};
+  net::Packet packet = net::make_tcp_packet(tuple_n(27, 80), "SeLeCt");
+  direct.process(packet, nullptr);
+  ASSERT_EQ(direct.log().size(), 1u);
+  EXPECT_EQ(direct.log()[0].sid, 802u);
+
+  // The recorded state function inspects exactly like process().
+  SnortIds recorded{rules};
+  core::LocalMat mat{"snort", 0};
+  core::EventTable events;
+  core::SpeedyBoxContext ctx{mat, events, 13};
+  net::Packet initial = net::make_tcp_packet(tuple_n(27, 80), "SeLeCt");
+  initial.set_fid(13);
+  recorded.process(initial, &ctx);
+  net::Packet subsequent = net::make_tcp_packet(tuple_n(27, 80), "SeLeCt");
+  const auto parsed = net::parse_packet(subsequent);
+  mat.find(13)->state_functions[0].handler(subsequent, *parsed);
+  ASSERT_EQ(recorded.log().size(), 2u);
+  EXPECT_EQ(recorded.log()[0], direct.log()[0]);
+  EXPECT_EQ(recorded.log()[1], direct.log()[0]);
+}
+
 TEST(SnortIds, LogRecordsFlowTuple) {
   SnortIds snort{test_rules()};
   net::Packet packet = net::make_tcp_packet(tuple_n(12, 80), "attack");

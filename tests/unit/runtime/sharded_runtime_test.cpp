@@ -2,6 +2,8 @@
 // connection), drain-on-destruction, full-ring backpressure, clone
 // refusal, and exact per-shard stats merging.
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,6 +212,63 @@ TEST(ShardedRuntime, PushAfterFinishThrows) {
   runtime.finish();
   EXPECT_THROW(runtime.push(net::make_tcp_packet(tuple_n(2), "y")),
                std::logic_error);
+}
+
+/// Throws on every packet of one flow; all other flows pass untouched.
+class PoisonedFlowNf : public nf::NetworkFunction {
+ public:
+  explicit PoisonedFlowNf(net::FiveTuple poison)
+      : nf::NetworkFunction("poisoned"), poison_(poison) {}
+  void process(net::Packet& packet, core::SpeedyBoxContext*) override {
+    const auto parsed = net::parse_packet(packet);
+    if (parsed && net::extract_five_tuple(packet, *parsed) == poison_) {
+      throw std::runtime_error("poisoned flow");
+    }
+  }
+  std::unique_ptr<nf::NetworkFunction> clone() const override {
+    return std::make_unique<PoisonedFlowNf>(poison_);
+  }
+
+ private:
+  net::FiveTuple poison_;
+};
+
+TEST(ShardedRuntime, WorkerExceptionSurfacesFromFinish) {
+  ServiceChain chain{"poison"};
+  chain.emplace_nf<PoisonedFlowNf>(tuple_n(5));
+  // A 2-slot ring keeps the dispatcher in its backpressure loop long after
+  // the fault, and quiesce() pushes a drain marker through the faulted
+  // shard: both return only if that worker keeps draining.
+  ShardedRuntime runtime{
+      chain, 4, {platform::PlatformKind::kBess, false, false}, 2};
+  const std::size_t faulted = runtime.shard_of(tuple_n(5));
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    runtime.push(net::make_tcp_packet(tuple_n(i % 24), "payload"));
+    if (i == 300) runtime.quiesce();
+  }
+  try {
+    runtime.finish();
+    FAIL() << "finish() must rethrow the worker's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string{error.what()}.find(
+                  "shard " + std::to_string(faulted) + " "),
+              std::string::npos)
+        << error.what();
+    EXPECT_THROW(std::rethrow_if_nested(error), std::runtime_error)
+        << "the original exception rides along nested";
+  }
+}
+
+TEST(ShardedRuntime, ExecutorRunRethrowsWorkerException) {
+  ServiceChain chain{"poison"};
+  chain.emplace_nf<PoisonedFlowNf>(tuple_n(3));
+  ShardedRuntime runtime{chain, 2,
+                         {platform::PlatformKind::kBess, false, false}};
+  std::vector<net::Packet> packets;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    packets.push_back(net::make_tcp_packet(tuple_n(i % 8), "payload"));
+  }
+  EXPECT_THROW(runtime.run(packets, nullptr), std::runtime_error);
 }
 
 TEST(ShardedRuntime, MergedStatsAreExactSumsOfShardStats) {

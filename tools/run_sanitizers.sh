@@ -22,7 +22,9 @@ cd "$(dirname "$0")/.."
 # closed loop, whose TCP tests send from a second thread. test_tenancy
 # hosts several sharded executors at once and byte-checks outputs across
 # an arbiter-triggered mid-run shard reallocation (DESIGN.md §14).
-TARGETS=(test_util test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy)
+# test_nf runs the Aho–Corasick matcher's raw-offset transition table and
+# the Snort suites (ASan checks every table and confirmation read).
+TARGETS=(test_util test_nf test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy)
 
 run_one() {
   local sanitizer="$1"
