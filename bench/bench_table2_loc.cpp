@@ -8,7 +8,7 @@
 //
 // Expected shape (paper): integration is a handful of lines per NF, a small
 // percentage of each NF's core LOC (Snort: 27 lines, +2.4%).
-#include <cctype>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -24,46 +24,65 @@ struct Loc {
 };
 
 bool is_code_line(const std::string& line) {
-  for (const char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c))) continue;
-    if (c == '/') return false;  // comment line
-    return true;
+  const std::size_t first = line.find_first_not_of(" \t\r");
+  if (first == std::string::npos) return false;  // blank
+  if (line.compare(first, 2, "//") == 0) return false;  // comment line
+  if (line.compare(first, 2, "/*") == 0) {
+    // `/*one_shot=*/true);` is code after an inline comment.
+    const std::size_t close = line.find("*/", first + 2);
+    return close != std::string::npos &&
+           line.find_first_not_of(" \t\r", close + 2) != std::string::npos;
   }
-  return false;  // blank
+  return true;
+}
+
+/// Net `open` brackets a line leaves open (`open` minus `close`).
+int net_open(const std::string& line, char open, char close) {
+  int depth = 0;
+  for (const char c : line) {
+    if (c == open) ++depth;
+    if (c == close) --depth;
+  }
+  return depth;
 }
 
 /// Counts recording-block lines: the `if (ctx != nullptr) {...}` regions
-/// plus standalone API calls.
+/// plus API calls, each with the lines it spans (a recorded handler's
+/// lambda body included). A brace-less `if (ctx != nullptr) stmt;` is one
+/// line.
 Loc count_file(const std::string& path) {
   Loc loc;
   std::ifstream file{path};
   if (!file) return loc;
   std::string line;
   int block_depth = 0;  // inside an `if (ctx != nullptr)` block
+  int call_depth = 0;   // inside a multi-line API call's parentheses
   while (std::getline(file, line)) {
     if (!is_code_line(line)) continue;
-    const bool opens_block = line.find("ctx != nullptr") != std::string::npos;
+    if (block_depth > 0) {
+      ++loc.added;
+      block_depth = std::max(block_depth + net_open(line, '{', '}'), 0);
+      continue;
+    }
+    if (call_depth > 0) {
+      ++loc.added;
+      call_depth = std::max(call_depth + net_open(line, '(', ')'), 0);
+      continue;
+    }
     const bool api_line =
         line.find("ctx->") != std::string::npos ||
+        line.find("ctx.") != std::string::npos ||
         line.find("localmat_add_") != std::string::npos ||
         line.find("register_event") != std::string::npos ||
         line.find("SpeedyBoxContext") != std::string::npos;
-    if (opens_block) {
+    if (line.find("ctx != nullptr") != std::string::npos) {
       ++loc.added;
-      block_depth = 1;
-      continue;
-    }
-    if (block_depth > 0) {
-      for (const char c : line) {
-        if (c == '{') ++block_depth;
-        if (c == '}') --block_depth;
-      }
-      ++loc.added;
-      if (block_depth <= 0) block_depth = 0;
+      block_depth = std::max(net_open(line, '{', '}'), 0);
       continue;
     }
     if (api_line) {
       ++loc.added;
+      call_depth = std::max(net_open(line, '(', ')'), 0);
       continue;
     }
     ++loc.core;

@@ -30,6 +30,9 @@ void GlobalMat::consolidate_flow(std::uint32_t fid) {
   rule->version = (existing != nullptr ? (*existing)->version : 0) + 1;
   rule->action = consolidate(all_actions);
   rule->schedule = build_schedule(batches);
+  for (const auto& group : rule->schedule.groups) {
+    if (group.size() > 1) ++rule->multi_batch_groups;
+  }
   rule->batches = std::move(batches);
   rule->check_events = events_.has_events(fid);
   ++consolidations_;
@@ -130,13 +133,12 @@ GlobalMat::FastPathResult GlobalMat::process(
         layout_intact ? *parsed_hint : *reparsed;
 
     if (measure_batches) {
-      for (const auto& group : rule.schedule.groups) {
-        if (group.size() > 1) ++result.multi_batch_groups;
-      }
+      result.multi_batch_groups = rule.multi_batch_groups;
       if (rule.cost_samples < ConsolidatedRule::kCostSampleWindow) {
         // Sampling phase: one timer pair per batch to learn the Table-I
         // critical-path fraction of this rule's schedule.
-        std::vector<std::uint64_t> costs(rule.batches.size(), 0);
+        std::vector<std::uint64_t>& costs = cost_scratch_;
+        costs.assign(rule.batches.size(), 0);
         result.timer_pairs =
             static_cast<std::uint32_t>(rule.batches.size());
         for (std::size_t i = 0; i < rule.batches.size(); ++i) {

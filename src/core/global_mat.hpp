@@ -43,6 +43,8 @@ struct ConsolidatedRule {
   BytePatch patch;                        // compiled field writes (lazy)
   std::vector<StateFunctionBatch> batches; // per-NF, chain order
   ParallelSchedule schedule;               // Table-I grouping of batches
+  /// Groups of `schedule` with >= 2 batches, counted at consolidation.
+  std::size_t multi_batch_groups = 0;
   std::uint64_t version = 0;               // bumped on re-consolidation
   /// Set at consolidation when the flow has registered events; lets the
   /// fast path skip the Event Table lookup entirely for event-free flows.
@@ -211,6 +213,8 @@ class GlobalMat {
   /// holders of the old snapshot stay consistent (see consolidate_flow).
   FlowTable<std::uint32_t, std::shared_ptr<ConsolidatedRule>> rules_;
   std::uint64_t consolidations_ = 0;
+  /// Per-batch cycle costs of the packet in the cost-sampling window.
+  std::vector<std::uint64_t> cost_scratch_;
 };
 
 }  // namespace speedybox::core

@@ -25,6 +25,7 @@ void AhoCorasick::add_pattern(std::string_view pattern, std::uint32_t id,
                fold(static_cast<unsigned char>(c)) <= 'z';
       });
   patterns_.push_back({std::string{pattern}, id, !nocase && has_letter});
+  longest_ = std::max(longest_, pattern.size());
 }
 
 void AhoCorasick::build() {

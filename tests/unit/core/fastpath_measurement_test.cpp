@@ -98,6 +98,44 @@ TEST_F(FastPathMeasurement, SequentialBatchesKeepFractionNearOne) {
   EXPECT_GT(mat_.find(4)->critical_fraction, 0.9);
 }
 
+TEST_F(FastPathMeasurement, MultiBatchGroupsCountedAtConsolidation) {
+  // Fid 7: two READ batches share one group. Fid 8: two WRITE batches run
+  // as two groups of one. Fid 9: a single batch. Interleaving them in the
+  // sampling window also resizes the shared per-batch cost scratch.
+  a_.add_state_function(7, busy_sf(PayloadAccess::kRead, 1));
+  b_.add_state_function(7, busy_sf(PayloadAccess::kRead, 1));
+  a_.add_state_function(8, busy_sf(PayloadAccess::kWrite, 1));
+  b_.add_state_function(8, busy_sf(PayloadAccess::kWrite, 1));
+  b_.add_state_function(9, busy_sf(PayloadAccess::kRead, 1));
+  for (const std::uint32_t fid : {7u, 8u, 9u}) mat_.consolidate_flow(fid);
+  EXPECT_EQ(mat_.find(7)->multi_batch_groups, 1u);
+  EXPECT_EQ(mat_.find(8)->multi_batch_groups, 0u);
+  EXPECT_EQ(mat_.find(9)->multi_batch_groups, 0u);
+
+  for (std::uint32_t i = 0; i <= ConsolidatedRule::kCostSampleWindow; ++i) {
+    const bool sampling = i < ConsolidatedRule::kCostSampleWindow;
+    const auto parallel = run_packet(7);
+    EXPECT_EQ(parallel.multi_batch_groups, 1u) << "packet " << i;
+    EXPECT_EQ(parallel.timer_pairs, sampling ? 2u : 1u);
+    EXPECT_LE(parallel.sf_critical_path_cycles, parallel.sf_total_cycles);
+    const auto single = run_packet(9);
+    EXPECT_EQ(single.multi_batch_groups, 0u);
+    EXPECT_EQ(single.timer_pairs, 1u);
+    const auto sequential = run_packet(8);
+    EXPECT_EQ(sequential.multi_batch_groups, 0u);
+    if (sampling) {
+      EXPECT_EQ(sequential.sf_critical_path_cycles,
+                sequential.sf_total_cycles)
+          << "two groups of one: the critical path is every batch";
+    }
+  }
+
+  // Unmeasured packets leave the measurement fields at zero.
+  net::Packet packet = net::make_tcp_packet(tuple_n(7), "x");
+  packet.set_fid(7);
+  EXPECT_EQ(mat_.process(packet).multi_batch_groups, 0u);
+}
+
 TEST_F(FastPathMeasurement, ReconsolidationRestartsSampling) {
   a_.add_state_function(5, busy_sf(PayloadAccess::kRead, 1));
   mat_.consolidate_flow(5);

@@ -248,5 +248,118 @@ TEST_P(AhoCorasickCaseProperty, MatchesFoldingOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AhoCorasickCaseProperty,
                          ::testing::Values(5, 27, 182, 8459, 90210));
 
+/// Differential test of the striped scan: texts of 0-4 KiB on both sides of
+/// the one-stripe threshold, mixed-case patterns up to 24 B, and hits
+/// planted across every stripe boundary and in the tail, where a short
+/// warm-up misses a hit and an overlapping report duplicates one.
+class AhoCorasickStripeProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AhoCorasickStripeProperty, MatchesFoldingOracleAcrossStripes) {
+  util::Rng rng{GetParam()};
+  // Patterns over a narrow alphabet overlap each other and themselves;
+  // lowercase filler keeps most of the text free of hits.
+  const std::string narrow{"abAB@[`{\x00\xC1\xE1", 11};
+  const auto flip_case = [&rng](char c) {
+    if (!rng.chance(0.5)) return c;
+    if (c >= 'a' && c <= 'z') return static_cast<char>(c - 'a' + 'A');
+    if (c >= 'A' && c <= 'Z') return static_cast<char>(c - 'A' + 'a');
+    return c;
+  };
+
+  for (int trial = 0; trial < 60; ++trial) {
+    struct Entry {
+      std::string bytes;
+      bool nocase;
+    };
+    std::vector<Entry> patterns;
+    const std::size_t longest = 1 + rng.below(24);
+    const std::size_t count = 1 + rng.below(8);
+    for (std::size_t p = 0; p < count; ++p) {
+      // The first pattern has the longest length, so the warm-up spans it.
+      std::string bytes(p == 0 ? longest : 1 + rng.below(longest), 'a');
+      for (char& c : bytes) c = narrow[rng.below(narrow.size())];
+      patterns.push_back({std::move(bytes), rng.chance(0.5)});
+    }
+    AhoCorasick ac;
+    for (std::uint32_t id = 0; id < patterns.size(); ++id) {
+      ac.add_pattern(patterns[id].bytes, id, patterns[id].nocase);
+    }
+    ac.build();
+
+    const std::size_t threshold =
+        AhoCorasick::kStripes * (longest - 1 + 32);
+    std::size_t size = rng.below(4097);
+    if (rng.chance(0.3)) size = threshold - 1 + rng.below(3);
+    std::string text(size, 'a');
+    for (char& c : text) c = static_cast<char>('c' + rng.below(24));
+    const auto plant = [&](std::size_t end) {
+      const Entry& pattern =
+          rng.chance(0.5) ? patterns[0] : patterns[rng.below(count)];
+      const std::size_t len = pattern.bytes.size();
+      if (end < len || end > text.size()) return;
+      for (std::size_t k = 0; k < len; ++k) {
+        const char c = pattern.bytes[k];
+        text[end - len + k] = pattern.nocase ? flip_case(c) : c;
+      }
+    };
+
+    // First own end offset of each stripe after the first, then the tail.
+    const auto [steps, spacing] = ac.stripe_layout(text.size());
+    std::vector<std::size_t> bounds;
+    if (steps > 0) {
+      for (std::size_t k = 1; k < AhoCorasick::kStripes; ++k) {
+        bounds.push_back(k * spacing + (steps - spacing) + 1);
+      }
+      bounds.push_back(3 * spacing + steps + 1);
+    }
+    if (rng.chance(0.9)) {
+      for (const std::size_t bound : bounds) {
+        for (int n = 0; n < 3; ++n) plant(bound - 2 + rng.below(longest + 3));
+      }
+      plant(text.size() - rng.below(std::min<std::size_t>(text.size(), 8) + 1));
+    }
+
+    std::multiset<std::pair<std::uint32_t, std::size_t>> expected;
+    for (std::uint32_t id = 0; id < patterns.size(); ++id) {
+      const Entry& pattern = patterns[id];
+      for (std::size_t pos = 0; pos + pattern.bytes.size() <= text.size();
+           ++pos) {
+        if (occurs_at(text, pos, pattern.bytes, pattern.nocase)) {
+          expected.emplace(id, pos + pattern.bytes.size());
+        }
+      }
+    }
+    std::multiset<std::pair<std::uint32_t, std::size_t>> actual;
+    ac.match(as_bytes(text), [&](std::uint32_t id, std::size_t end) {
+      actual.emplace(id, end);
+    });
+    ASSERT_EQ(actual, expected)
+        << "trial " << trial << ", " << text.size() << " bytes, longest "
+        << longest << ", steps " << steps << ", spacing " << spacing;
+
+    std::vector<std::uint32_t> ids;
+    for (const auto& hit : expected) ids.push_back(hit.first);
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    EXPECT_EQ(ac.match_ids(as_bytes(text)), ids) << "trial " << trial;
+    EXPECT_EQ(ac.contains_any(as_bytes(text)), !expected.empty())
+        << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AhoCorasickStripeProperty,
+                         ::testing::Values(7, 61, 433, 2718, 31337));
+
+TEST(AhoCorasick, LongTextSplitsIntoStripes) {
+  AhoCorasick ac;
+  ac.add_pattern("needle", 1);
+  ac.build();
+  // Below 4 * (5 + 32) bytes a text is one stripe; from there on four.
+  EXPECT_EQ(ac.stripe_layout(147).steps, 0u);
+  const auto layout = ac.stripe_layout(148);
+  EXPECT_EQ(layout.steps, (148 + 3 * 5) / 4);
+  EXPECT_EQ(layout.spacing, layout.steps - 5);
+}
+
 }  // namespace
 }  // namespace speedybox::nf
